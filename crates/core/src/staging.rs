@@ -56,7 +56,7 @@ use transport::evq::{EventQueue, PollError};
 use ffs::AttrList;
 use minimpi::{Comm, World};
 use transport::{
-    Epoch, FetchRequest, Membership, MembershipPlan, PullBatch, PullPolicy, RetryPolicy, Router,
+    Epoch, FetchRequest, Membership, MembershipPlan, PullPolicy, RetryPolicy, Router,
     StagingEndpoint, TransportError,
 };
 
@@ -220,10 +220,6 @@ pub struct StagingConfig {
     /// Retry policy for fetch-request receives and `rdma_get` pulls
     /// (`PREDATA_RETRY`; its deadline is the per-step pull budget).
     pub retry: RetryPolicy,
-    /// Small-pull coalescing thresholds (`PREDATA_PULL_BATCH`); `None`
-    /// keeps one `rdma_get` per chunk. Batching changes when bytes
-    /// move, never what moves — outputs stay byte-identical.
-    pub pull_batch: Option<PullBatch>,
     /// Elastic membership schedule (`PREDATA_MEMBERSHIP`); `None` means
     /// every rank serves every step. Ranks outside the step's epoch stay
     /// in the collectives (they must — the world is one communicator)
@@ -243,7 +239,6 @@ impl StagingConfig {
             out_dir: out_dir.into(),
             gather_timeout: Duration::from_secs(30),
             retry: RetryPolicy::from_env(),
-            pull_batch: PullBatch::from_env(),
             membership: MembershipPlan::from_env().map(|p| {
                 Arc::new(
                     Membership::from_plan(&p).unwrap_or_else(|e| panic!("PREDATA_MEMBERSHIP: {e}")),
@@ -554,28 +549,34 @@ impl StagingRank {
                 let (work, results) = (&work, &results);
                 let (cancelled, mappers, pending) = (&cancelled, &mappers, &pending);
                 // Puller: RDMA gets, serially, in policy order and pacing.
-                // A `PREDATA_PULL_BATCH` threshold coalesces runs of
-                // small consecutive pulls into one fabric transaction.
-                // Coalescing is bypassed only when an attached fault
-                // schedule actually covers *this step's pulls* — inside
-                // the fault window injection bookkeeping must stay
-                // exactly per-pull (see `transport::batch`); outside it
-                // batching proceeds as on a healthy run.
-                let batch = self.cfg.pull_batch.as_ref().filter(|_| {
-                    self.endpoint
-                        .fault_plan()
-                        .is_none_or(|p| !p.covers_pulls(step))
-                });
                 scope.spawn(move || {
-                    // One individually-retried pull. Pulls retry under
-                    // the *step's* remaining deadline budget: transient
-                    // errors (timeouts, stale handles, injected faults)
-                    // back off and re-attempt; exhausting them skips
-                    // this chunk — degradation, not abort. Returns
-                    // `false` when the step is abandoned (non-retryable
-                    // error, or the work queue closed under it) and the
-                    // puller must exit.
-                    let pull_one = |idx: usize, req: &FetchRequest| -> bool {
+                    for (idx, req) in pending.iter().enumerate() {
+                        // Condvar/deadline park inside the policy; the
+                        // short tick only bounds cancellation latency.
+                        let wait_started = obs::lineage::enabled().then(Instant::now);
+                        while !policy.wait_ready(Duration::from_millis(25)) {
+                            if cancelled.load(Ordering::Acquire) {
+                                return;
+                            }
+                        }
+                        // The policy deferral is the chunk's scheduling
+                        // wait — the rate/phase control the paper bounds
+                        // interference with.
+                        if let Some(t) = wait_started {
+                            obs::lineage::record_wait(
+                                req.src_rank as u64,
+                                step,
+                                obs::lineage::Stage::PullScheduled,
+                                t.elapsed().as_nanos() as u64,
+                            );
+                        }
+                        // Pulls retry under the *step's* remaining
+                        // deadline budget: transient errors (timeouts,
+                        // stale handles, injected faults) back off and
+                        // re-attempt; exhausting them skips this chunk —
+                        // degradation, not abort. A non-retryable error,
+                        // or the work queue closing under a blocked
+                        // send, abandons the step.
                         let salt = ((req.src_rank as u64) << 32) ^ step;
                         let remaining = retry
                             .step_deadline()
@@ -597,7 +598,9 @@ impl StagingRank {
                             // wakes with `Closed` if the step is abandoned.
                             Ok(buf) => {
                                 drop(pull_span);
-                                work.send((idx, req.src_rank, buf)).is_ok()
+                                if work.send((idx, req.src_rank, buf)).is_err() {
+                                    return;
+                                }
                             }
                             Err(e) if RetryPolicy::is_retryable(&e) => {
                                 pull_span.cancel();
@@ -605,81 +608,13 @@ impl StagingRank {
                                     idx,
                                     src_rank: req.src_rank,
                                 });
-                                true
                             }
                             Err(e) => {
                                 pull_span.cancel();
                                 results.submit(WorkerOut::PullErr(e));
-                                false
-                            }
-                        }
-                    };
-                    let mut idx = 0;
-                    while idx < pending.len() {
-                        // Condvar/deadline park inside the policy; the
-                        // short tick only bounds cancellation latency.
-                        let wait_started = obs::lineage::enabled().then(Instant::now);
-                        while !policy.wait_ready(Duration::from_millis(25)) {
-                            if cancelled.load(Ordering::Acquire) {
                                 return;
                             }
                         }
-                        // Greedy coalescing: extend over the run of
-                        // consecutive policy-ordered chunks under the
-                        // size threshold, up to the count cap.
-                        let mut end = idx + 1;
-                        if let Some(b) = batch {
-                            if b.covers(&pending[idx]) {
-                                while end < pending.len()
-                                    && end - idx < b.max_count()
-                                    && b.covers(&pending[end])
-                                {
-                                    end += 1;
-                                }
-                            }
-                        }
-                        // The policy deferral is the chunks' scheduling
-                        // wait — the rate/phase control the paper bounds
-                        // interference with.
-                        if let Some(t) = wait_started {
-                            let ns = t.elapsed().as_nanos() as u64;
-                            for req in &pending[idx..end] {
-                                obs::lineage::record_wait(
-                                    req.src_rank as u64,
-                                    step,
-                                    obs::lineage::Stage::PullScheduled,
-                                    ns,
-                                );
-                            }
-                        }
-                        if end - idx > 1 {
-                            // Batched fast path: one registry visit for
-                            // the whole run. A retryable per-slot failure
-                            // falls back to the individually-retried
-                            // pull; non-retryable ones abandon the step
-                            // as before.
-                            let pull_span = obs::span!("pull", step);
-                            let outs = endpoint.rdma_get_batch(&pending[idx..end]);
-                            drop(pull_span);
-                            for (off, out) in outs.into_iter().enumerate() {
-                                let i = idx + off;
-                                let req = &pending[i];
-                                let ok = match out {
-                                    Ok(buf) => work.send((i, req.src_rank, buf)).is_ok(),
-                                    Err(e) if RetryPolicy::is_retryable(&e) => pull_one(i, req),
-                                    Err(e) => {
-                                        results.submit(WorkerOut::PullErr(e));
-                                        false
-                                    }
-                                };
-                                if !ok {
-                                    return;
-                                }
-                            }
-                        } else if !pull_one(idx, &pending[idx]) {
-                            return;
-                        }
-                        idx = end;
                     }
                     // All pulls issued: workers drain the queue, then exit.
                     work.close();
@@ -1047,73 +982,6 @@ mod tests {
         }
         // 16 values 0..16 per step × 2 steps over 4 bins of width 4.
         assert_eq!(total_hist, vec![8, 8, 8, 8]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The same 4→2 histogram pipeline with `PREDATA_PULL_BATCH`-style
-    /// coalescing enabled: results are identical, but each staging rank
-    /// pulls its two small chunks in ONE fabric transaction per step.
-    /// Pinned clean (`with_faults(.., None)`): an ambient fault plan
-    /// would bypass coalescing by design, breaking the exact counts.
-    #[test]
-    fn batched_pulls_coalesce_without_changing_results() {
-        let n_compute = 4;
-        let n_staging = 2;
-        let (fabric, computes, stagings) = Fabric::with_faults(n_compute, n_staging, None, None);
-        let router: Arc<dyn Router> = Arc::new(BlockRouter::new(n_compute, n_staging));
-        let dir = out_dir("batch");
-        let coalesced = obs::global().counter("transport.pulls_coalesced", &[]);
-        let before = coalesced.get();
-
-        let mut cfg = StagingConfig::new(n_compute, &dir);
-        cfg.pull_batch = Some(PullBatch::new(1 << 20, 16));
-        let area = StagingArea::spawn(
-            stagings,
-            Arc::clone(&router),
-            Arc::new(|_| vec![Box::new(HistogramOp::new(vec![0], 4)) as Box<dyn StreamOp>]),
-            Arc::new(|_| Box::new(FifoPolicy::default()) as Box<dyn PullPolicy>),
-            cfg,
-            2,
-        );
-
-        let clients: Vec<PredataClient> = computes
-            .into_iter()
-            .map(|e| {
-                PredataClient::new(
-                    e,
-                    Arc::clone(&router),
-                    vec![Arc::new(HistogramOp::new(vec![0], 4))],
-                )
-            })
-            .collect();
-        for step in 0..2u64 {
-            for (r, c) in clients.iter().enumerate() {
-                let rows: Vec<f64> = (0..4)
-                    .flat_map(|i| vec![(r * 4 + i) as f64, 0., 0., 0., 0., 0., r as f64, i as f64])
-                    .collect();
-                c.write_pg(make_particle_pg(r as u64, step, rows)).unwrap();
-            }
-        }
-
-        let reports = area.join();
-        let mut total_hist = vec![0u64; 4];
-        for rank_reports in reports {
-            for rep in rank_reports.expect("staging rank succeeded") {
-                assert_eq!(rep.chunks, 2);
-                for res in &rep.results {
-                    if let Some(ffs::Value::ArrU64(bins)) = res.values.get("hist_x") {
-                        for (i, b) in bins.iter().enumerate() {
-                            total_hist[i] += b;
-                        }
-                    }
-                }
-            }
-        }
-        assert_eq!(total_hist, vec![8, 8, 8, 8], "coalescing changes nothing");
-        // 2 staging ranks × 2 steps × 1 batched transaction (instead of
-        // 8 individual gets); each 2-chunk batch saves one request.
-        assert_eq!(fabric.stats().rdma_gets(), 4);
-        assert_eq!(coalesced.get() - before, 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,6 +2,7 @@
 //! serial computation over the same randomly-generated particle dumps,
 //! for arbitrary pipeline widths and chunk distributions.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ffs::{AttrList, Value};
@@ -64,6 +65,8 @@ fn arb_dump(max_chunks: usize, max_rows: usize) -> impl Strategy<Value = Dump> {
 
 /// Distribute the dump's chunks round-robin over `n` pipeline ranks and
 /// run `make_op()` through the full pipeline on each; collect results.
+/// Every call writes under its own output directory, so pipelines of
+/// tests running in parallel never share (or delete) each other's files.
 fn run_pipeline<T, F, G>(dump: &Dump, n_ranks: usize, make_op: F, extract: G) -> Vec<T>
 where
     T: Send + 'static,
@@ -73,10 +76,15 @@ where
     let dump = Arc::new(dump.clone());
     let make_op = Arc::new(make_op);
     let extract = Arc::new(extract);
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
     World::run(n_ranks, move |comm| {
         let mut op = make_op();
-        let dir =
-            std::env::temp_dir().join(format!("prop-ops-{}-{}", std::process::id(), comm.rank()));
+        let dir = std::env::temp_dir().join(format!(
+            "prop-ops-{}-{call}-{}",
+            std::process::id(),
+            comm.rank()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         // Aggregates: min/max over the whole dump, plus per-rank np.
         let mut attrs = AttrList::new();

@@ -358,27 +358,6 @@ impl ShardIndex {
         inserted
     }
 
-    /// Read block `key` through the pending overlay: the dirty-read
-    /// path of `get_nowait`. Pending (newer) shadows committed.
-    pub fn read_dirty<R>(
-        &self,
-        shard: usize,
-        key: BlockKey,
-        f: impl FnOnce(&Block) -> R,
-    ) -> Option<R> {
-        let pending = self.lock_pending(shard);
-        if let Some(block) = pending.get(&key) {
-            return Some(f(block));
-        }
-        drop(pending);
-        self.shards[shard]
-            .0
-            .committed
-            .load()
-            .get(&key)
-            .map(|b| f(b))
-    }
-
     /// Distinct blocks held per shard (pending ∪ committed) — the
     /// first-level load-balance view.
     pub fn block_counts(&self) -> Vec<usize> {

@@ -20,8 +20,9 @@
 //!   region is pure arithmetic, no central master.
 //! * **data querying** — geometric range queries ([`DataSpaces::get`]),
 //!   aggregation/reduction queries ([`DataSpaces::reduce`]), and
-//!   *continuous queries* ([`DataSpaces::subscribe`]) that notify a
-//!   registered consumer whenever new data intersects its region.
+//!   *continuous queries* ([`QueryService::subscribe_reduce`]) that
+//!   re-evaluate a reduction over a registered region on every commit
+//!   and deliver it through a bounded channel.
 //! * **coherence** — versions: readers of version `v` block until the
 //!   writer [`DataSpaces::commit`]s it (get-after-put consistency across
 //!   applications).
@@ -30,7 +31,7 @@
 //!   traffic also spreads.
 //! * **lock-free committed reads** — [`DataSpaces::commit`] freezes a
 //!   version's blocks and publishes them as an immutable epoch snapshot;
-//!   readers bind a [`Session`] to that snapshot and scan without taking
+//!   every read binds a [`Session`] to that snapshot and scans without taking
 //!   any lock a writer uses, so queries never block puts (and
 //!   `evict_before` never corrupts an in-flight scan: snapshot
 //!   isolation by reference counting).
@@ -74,6 +75,4 @@ pub use service::{
     QueryServiceConfig, QueryTicket,
 };
 pub use session::Session;
-pub use space::{
-    CommitHook, DataSpaces, HandoffReport, Notification, Reduction, ShardParcel, SpaceStats, VarRef,
-};
+pub use space::{CommitHook, DataSpaces, HandoffReport, Reduction, ShardParcel, VarRef};

@@ -3,9 +3,9 @@
 //! The paper's querying application runs on its own cores and fires
 //! range/reduction/continuous queries at the staged index while the next
 //! dump is still being staged. This module is that front-end: queries
-//! are admitted as jobs into a bounded [`EventQueue`] (back-pressure,
-//! `PREDATA_QUERY_QUEUE`), served by a fixed worker pool
-//! (`PREDATA_QUERY_WORKERS`), and each carries a per-query deadline.
+//! are admitted as jobs into a bounded [`EventQueue`] (back-pressure),
+//! served by a fixed worker pool, and each carries a per-query deadline.
+//! All three are set per service through [`QueryServiceConfig`].
 //!
 //! # Sessions and fan-out
 //!
@@ -13,7 +13,7 @@
 //! worker opens a [`Session`] (a committed snapshot pinned by `Arc`s),
 //! so concurrent commits and `evict_before` calls never corrupt an
 //! in-flight scan. Large queries are decomposed into row *bands*
-//! ([`DsConfig::row_bands`], `PREDATA_QUERY_BANDS`) that fan out across
+//! ([`DsConfig::row_bands`], capped by [`QueryServiceConfig::bands`]) that fan out across
 //! the pool; the decomposition and the band-order merge are pure
 //! functions of the query — never of the worker count — so results are
 //! byte-identical at any parallelism. The serving worker executes band
@@ -56,27 +56,17 @@ use crate::error::DsError;
 use crate::session::{finish_reduction, merge_reduction, reduce_identity, Session};
 use crate::space::{DataSpaces, Reduction};
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(default)
-}
-
-/// Query-service tuning. Defaults are overridable per process via the
-/// `PREDATA_QUERY_*` environment knobs (see `docs/OPERATIONS.md`).
+/// Query-service tuning, passed to [`QueryService::new`].
 #[derive(Debug, Clone)]
 pub struct QueryServiceConfig {
-    /// Worker threads serving queries (`PREDATA_QUERY_WORKERS`).
+    /// Worker threads serving queries.
     pub workers: usize,
     /// Admission-queue capacity; a full queue rejects with
-    /// [`DsError::QueueFull`] (`PREDATA_QUERY_QUEUE`).
+    /// [`DsError::QueueFull`].
     pub queue_cap: usize,
-    /// Maximum bands a query fans out into (`PREDATA_QUERY_BANDS`).
+    /// Maximum bands a query fans out into (`1` disables fan-out).
     pub bands: usize,
-    /// Deadline for queries submitted without an explicit one
-    /// (`PREDATA_QUERY_DEADLINE_MS`).
+    /// Deadline for queries submitted without an explicit one.
     pub default_deadline: Duration,
 }
 
@@ -87,22 +77,6 @@ impl Default for QueryServiceConfig {
             queue_cap: 256,
             bands: 4,
             default_deadline: Duration::from_secs(10),
-        }
-    }
-}
-
-impl QueryServiceConfig {
-    /// Defaults overridden by the `PREDATA_QUERY_*` environment.
-    pub fn from_env() -> Self {
-        let d = QueryServiceConfig::default();
-        QueryServiceConfig {
-            workers: env_usize("PREDATA_QUERY_WORKERS", d.workers),
-            queue_cap: env_usize("PREDATA_QUERY_QUEUE", d.queue_cap),
-            bands: env_usize("PREDATA_QUERY_BANDS", d.bands),
-            default_deadline: Duration::from_millis(env_usize(
-                "PREDATA_QUERY_DEADLINE_MS",
-                d.default_deadline.as_millis() as usize,
-            ) as u64),
         }
     }
 }

@@ -14,12 +14,11 @@
 //! no lock a writer uses; see `session.rs`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bpio::{copy_box_between, DataArray, Dtype};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use transport::{FaultPlan, RetryPolicy};
 
@@ -73,22 +72,6 @@ impl VarRef {
     }
 }
 
-/// A continuous-query notification: new data intersecting a subscribed
-/// region was put.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Notification {
-    pub var: String,
-    pub version: u64,
-    /// The intersection of the put with the subscribed region.
-    pub region: Region,
-}
-
-struct Subscription {
-    var: String,
-    region: Region,
-    tx: Sender<Notification>,
-}
-
 /// A hook invoked after every commit publishes (the query service's
 /// continuous queries ride on this).
 pub type CommitHook = Box<dyn Fn(&str, u64) + Send + Sync>;
@@ -101,17 +84,6 @@ pub enum Reduction {
     Sum,
     Count,
     Avg,
-}
-
-/// Operation counters.
-#[derive(Debug, Default)]
-pub struct SpaceStats {
-    pub puts: AtomicU64,
-    pub gets: AtomicU64,
-    pub bytes_put: AtomicU64,
-    pub bytes_got: AtomicU64,
-    pub blocks_touched: AtomicU64,
-    pub notifications: AtomicU64,
 }
 
 /// One variable's slice of a [`ShardParcel`].
@@ -171,9 +143,7 @@ pub struct DataSpaces {
     index: ShardIndex,
     dirs: Box<[DirShard]>,
     next_var_id: AtomicU32,
-    subs: RwLock<Vec<Subscription>>,
     hooks: RwLock<Vec<CommitHook>>,
-    stats: SpaceStats,
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
     commits: obs::Counter,
@@ -201,9 +171,7 @@ impl DataSpaces {
             index,
             dirs,
             next_var_id: AtomicU32::new(0),
-            subs: RwLock::new(Vec::new()),
             hooks: RwLock::new(Vec::new()),
-            stats: SpaceStats::default(),
             faults,
             retry,
             commits: reg.counter("dataspaces.commits", &[]),
@@ -217,10 +185,6 @@ impl DataSpaces {
 
     pub fn config(&self) -> &DsConfig {
         &self.cfg
-    }
-
-    pub fn stats(&self) -> &SpaceStats {
-        &self.stats
     }
 
     /// The current publication epoch (bumped by every commit/evict).
@@ -365,30 +329,6 @@ impl DataSpaces {
                     Ok::<(), DsError>(())
                 },
             )?;
-            self.stats.blocks_touched.fetch_add(1, Ordering::Relaxed);
-        }
-        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_put
-            .fetch_add(data.byte_len() as u64, Ordering::Relaxed);
-
-        // Continuous queries: notify intersecting subscriptions.
-        let subs = self.subs.read();
-        for s in subs.iter() {
-            if s.var == *var.name {
-                if let Some(hit) = s.region.intersect(region) {
-                    if s.tx
-                        .send(Notification {
-                            var: var.name.to_string(),
-                            version,
-                            region: hit,
-                        })
-                        .is_ok()
-                    {
-                        self.stats.notifications.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
         }
         Ok(())
     }
@@ -506,78 +446,7 @@ impl DataSpaces {
         region: &Region,
         timeout: Duration,
     ) -> Result<DataArray, DsError> {
-        let session = self.session(var, version, timeout)?;
-        let out = session.get(region)?;
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_got
-            .fetch_add(out.byte_len() as u64, Ordering::Relaxed);
-        Ok(out)
-    }
-
-    /// Retrieve without coherence (reader manages synchronization).
-    /// This is the one read path that sees *uncommitted* puts: pending
-    /// blocks overlay the committed snapshot, so it briefly takes the
-    /// touched shards' pending locks.
-    pub fn get_nowait(
-        &self,
-        var: &str,
-        version: u64,
-        region: &Region,
-    ) -> Result<DataArray, DsError> {
-        self.cfg.check(region)?;
-        let (var_id, dtype) = {
-            let vars = self.dir(var).vars.lock();
-            let meta = vars.get(var);
-            (meta.map(|m| m.id), meta.and_then(|m| m.dtype))
-        };
-        let (Some(var_id), Some(dtype)) = (var_id, dtype) else {
-            return Err(DsError::Incomplete {
-                missing_elems: region.volume(),
-            });
-        };
-        let mut out = DataArray::zeros(dtype, region.volume() as usize);
-        let mut covered: u64 = 0;
-        for g in self.cfg.blocks_of(region) {
-            let key = (var_id, version, self.cfg.grid_index(&g));
-            let copied = self.index.read_dirty(self.cfg.shard_of(&g), key, |block| {
-                let isect = block
-                    .region
-                    .intersect(region)
-                    .expect("block intersects query");
-                let filled = index::count_filled(block, &isect);
-                copy_box_between(
-                    &block.data,
-                    &block.region.corner,
-                    &block.region.extent,
-                    &mut out,
-                    &region.corner,
-                    &region.extent,
-                    &isect.corner,
-                    &isect.extent,
-                )
-                .map_err(|_| DsError::DtypeMismatch)?;
-                Ok::<u64, DsError>(filled)
-            });
-            match copied {
-                None => {}
-                Some(Ok(filled)) => {
-                    covered += filled;
-                    self.stats.blocks_touched.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(Err(e)) => return Err(e),
-            }
-        }
-        if covered != region.volume() {
-            return Err(DsError::Incomplete {
-                missing_elems: region.volume() - covered,
-            });
-        }
-        self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_got
-            .fetch_add(out.byte_len() as u64, Ordering::Relaxed);
-        Ok(out)
+        self.session(var, version, timeout)?.get(region)
     }
 
     /// Aggregation query over a region (paper: "max/min/average value for
@@ -593,20 +462,6 @@ impl DataSpaces {
     ) -> Result<f64, DsError> {
         let session = self.session(var, version, timeout)?;
         session.reduce(region, how)
-    }
-
-    /// Register a continuous query: the returned channel receives a
-    /// [`Notification`] for every future put intersecting `region`
-    /// (put-level, pre-commit; for commit-level continuous queries with
-    /// back-pressure see the query service).
-    pub fn subscribe(&self, var: &str, region: Region) -> Receiver<Notification> {
-        let (tx, rx) = unbounded();
-        self.subs.write().push(Subscription {
-            var: var.to_string(),
-            region,
-            tx,
-        });
-        rx
     }
 
     /// Register a hook invoked after every commit publishes. Hooks run
@@ -880,28 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn continuous_query_notifies_on_intersection() {
-        let ds = space();
-        let sub_region = Region::new(vec![0, 0], vec![10, 10]);
-        let rx = ds.subscribe("f", sub_region.clone());
-
-        // Outside the subscription: no notification.
-        let far = Region::new(vec![40, 40], vec![4, 4]);
-        ds.put("f", 0, &far, ramp(&far)).unwrap();
-        assert!(rx.try_recv().is_err());
-
-        // Overlapping: notified with the intersection.
-        let near = Region::new(vec![5, 5], vec![10, 10]);
-        ds.put("f", 0, &near, ramp(&near)).unwrap();
-        let n = rx.recv_timeout(Duration::from_secs(1)).unwrap();
-        assert_eq!(n.region, Region::new(vec![5, 5], vec![5, 5]));
-        assert_eq!(n.version, 0);
-        // Other variables do not notify.
-        ds.put("g", 0, &near, ramp(&near)).unwrap();
-        assert!(rx.try_recv().is_err());
-    }
-
-    #[test]
     fn commit_hooks_fire_after_publication() {
         let ds = space();
         let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -953,8 +786,11 @@ mod tests {
         }
         let dropped = ds.evict_before("f", 3);
         assert!(dropped > 0);
-        assert!(ds.get_nowait("f", 2, &r).is_err());
-        assert!(ds.get_nowait("f", 3, &r).is_ok());
+        assert!(matches!(
+            ds.session_now("f", 2),
+            Err(DsError::NotCommitted { .. })
+        ));
+        assert_eq!(ds.session_now("f", 3).unwrap().get(&r).unwrap(), ramp(&r));
     }
 
     #[test]
@@ -1026,7 +862,6 @@ mod tests {
         let dropped = ds.evict_before("f", 1);
         assert!(dropped > 0);
         // New readers see the eviction...
-        assert!(ds.get_nowait("f", 0, &r).is_err());
         assert!(matches!(
             ds.session_now("f", 0),
             Err(DsError::NotCommitted { .. })
@@ -1053,8 +888,6 @@ mod tests {
             ds.get("f", 0, &both, Duration::from_secs(1)),
             Err(DsError::Incomplete { .. })
         ));
-        // …the dirty path sees the overlay…
-        assert_eq!(ds.get_nowait("f", 0, &both).unwrap(), ramp(&both));
         // …and a re-commit publishes it.
         ds.commit("f", 0);
         assert_eq!(

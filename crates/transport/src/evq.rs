@@ -223,10 +223,6 @@ impl<T> EventQueue<T> {
         self.shared.not_full.notify_all();
     }
 
-    pub fn is_closed(&self) -> bool {
-        self.shared.lock().closed
-    }
-
     pub fn len(&self) -> usize {
         self.shared.lock().queue.len()
     }
@@ -239,44 +235,10 @@ impl<T> EventQueue<T> {
     pub fn high_water(&self) -> usize {
         self.shared.lock().high_water
     }
-
-    /// A clonable submission handle (e.g. one per fetcher thread).
-    pub fn sender(&self) -> QueueSender<T> {
-        QueueSender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
 }
 
 fn enqueue_stamp() -> Option<Instant> {
     obs::lineage::enabled().then(Instant::now)
-}
-
-/// Cheap clonable handle for submitting into an [`EventQueue`].
-pub struct QueueSender<T> {
-    shared: Arc<Shared<T>>,
-}
-
-impl<T> Clone for QueueSender<T> {
-    fn clone(&self) -> Self {
-        QueueSender {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<T> QueueSender<T> {
-    pub fn submit(&self, ev: T) {
-        let _ = self.send(ev);
-    }
-
-    /// Blocking submit that reports teardown (see [`EventQueue::send`]).
-    pub fn send(&self, ev: T) -> Result<(), SubmitError<T>> {
-        EventQueue {
-            shared: Arc::clone(&self.shared),
-        }
-        .send(ev)
-    }
 }
 
 /// One processing element: takes an event, optionally emits a transformed
@@ -339,26 +301,6 @@ impl<T> Stone<T> {
     pub fn counts(&self) -> (u64, u64) {
         (self.processed, self.dropped)
     }
-}
-
-/// Drain a queue into a stone until the queue closes or `deadline_idle`
-/// passes with no event. Returns number of events processed.
-pub fn pump<T>(queue: &EventQueue<T>, stone: &mut Stone<T>, deadline_idle: Duration) -> u64 {
-    let mut n = 0;
-    while let Some(ev) = queue.poll(deadline_idle) {
-        stone.submit(ev);
-        n += 1;
-    }
-    n
-}
-
-/// Convenience: shareable queue pair for producer/consumer threads.
-pub fn channel<T>(cap: Option<usize>) -> (QueueSender<T>, Arc<EventQueue<T>>) {
-    let q = Arc::new(match cap {
-        Some(c) => EventQueue::bounded(c),
-        None => EventQueue::unbounded(),
-    });
-    (q.sender(), q)
 }
 
 #[cfg(test)]
@@ -506,24 +448,9 @@ mod tests {
     }
 
     #[test]
-    fn pump_until_idle() {
-        let q = EventQueue::unbounded();
-        for v in 0..10u32 {
-            q.submit(v);
-        }
-        let mut out = Vec::new();
-        let collected = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let c2 = Arc::clone(&collected);
-        let mut stone = Stone::new(move |v| c2.lock().push(v));
-        let n = pump(&q, &mut stone, Duration::from_millis(5));
-        assert_eq!(n, 10);
-        out.extend(collected.lock().iter().copied());
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn cross_thread_producer_consumer() {
-        let (tx, q) = channel::<u64>(Some(8));
+        let q = EventQueue::<u64>::bounded(8);
+        let tx = q.clone();
         let h = std::thread::spawn(move || {
             for v in 0..100 {
                 tx.submit(v);

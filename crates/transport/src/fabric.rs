@@ -121,8 +121,6 @@ struct FabricInner {
     obs_get_ns: obs::Histogram,
     obs_get_bytes: obs::Counter,
     obs_pinned_hwm: obs::Gauge,
-    obs_pull_batches: obs::Counter,
-    obs_pulls_coalesced: obs::Counter,
 }
 
 /// Factory for matched endpoint sets.
@@ -167,8 +165,6 @@ impl Fabric {
             obs_get_ns: obs::global().histogram("transport.rdma_get_ns", &[]),
             obs_get_bytes: obs::global().counter("transport.rdma_get_bytes", &[]),
             obs_pinned_hwm: obs::global().gauge("transport.pinned_bytes", &[]),
-            obs_pull_batches: obs::global().counter("transport.pull_batches", &[]),
-            obs_pulls_coalesced: obs::global().counter("transport.pulls_coalesced", &[]),
         });
         let computes = comp_rx
             .into_iter()
@@ -377,69 +373,9 @@ impl StagingEndpoint {
         if let Some(t) = started {
             self.inner.obs_get_ns.record(t.elapsed().as_nanos() as u64);
         }
-        self.pull_done(req, &buf, io_step);
-        Ok(buf)
-    }
-
-    /// Pull a *run* of exposed chunks in one fabric transaction: the
-    /// registry is locked once for every handle, then per-request
-    /// bookkeeping and completions proceed as for
-    /// [`rdma_get`](Self::rdma_get). This is the mechanism behind
-    /// `PREDATA_PULL_BATCH` ([`crate::PullBatch`]): on many-small-chunks
-    /// dumps the per-pull fixed cost is paid once per batch instead of
-    /// once per chunk.
-    ///
-    /// Results are positional. A stale handle fails only its own slot
-    /// ([`TransportError::StaleHandle`]); the other slots still deliver,
-    /// so callers can route individual failures through their retry
-    /// path. One batch counts as one `rdma_gets` fabric transaction;
-    /// the requests it saved relative to individual pulls are recorded
-    /// on `transport.pulls_coalesced` (and `transport.pull_batches`
-    /// counts the batches themselves).
-    pub fn rdma_get_batch(&self, reqs: &[FetchRequest]) -> Vec<Result<Arc<[u8]>, TransportError>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let started = obs::enabled().then(std::time::Instant::now);
-        type Entry = Result<(Arc<[u8]>, u64), TransportError>;
-        let entries: Vec<Entry> = {
-            let mut reg = self.inner.registry.lock();
-            reqs.iter()
-                .map(|req| {
-                    let entry = reg
-                        .exposed
-                        .remove(&handle_raw(req.handle))
-                        .ok_or(TransportError::StaleHandle(req.handle))?;
-                    reg.pinned_bytes -= entry.0.len();
-                    Ok(entry)
-                })
-                .collect()
-        };
-        self.inner.stats.rdma_gets.fetch_add(1, Ordering::Relaxed);
-        if reqs.len() > 1 {
-            self.inner.obs_pull_batches.inc();
-            self.inner.obs_pulls_coalesced.add(reqs.len() as u64 - 1);
-        }
-        if let Some(t) = started {
-            self.inner.obs_get_ns.record(t.elapsed().as_nanos() as u64);
-        }
-        entries
-            .into_iter()
-            .zip(reqs)
-            .map(|(entry, req)| {
-                let (buf, io_step) = entry?;
-                self.pull_done(req, &buf, io_step);
-                Ok(buf)
-            })
-            .collect()
-    }
-
-    /// Per-request bookkeeping once bytes have left the registry:
-    /// traffic stats, lineage, the perturbation table, and the
-    /// best-effort completion posted back to the exposing compute
-    /// endpoint (if that endpoint is gone the data still flows —
-    /// matches one-sided RDMA semantics).
-    fn pull_done(&self, req: &FetchRequest, buf: &Arc<[u8]>, io_step: u64) {
+        // Per-request bookkeeping once the bytes have left the registry.
+        // The completion is best-effort: if the exposing endpoint is gone
+        // the data still flows (one-sided RDMA semantics).
         self.inner
             .stats
             .bytes_pulled
@@ -457,6 +393,7 @@ impl StagingEndpoint {
             bytes: buf.len(),
             io_step,
         });
+        Ok(buf)
     }
 }
 
@@ -599,47 +536,6 @@ mod tests {
         let (_f, computes, stagings) = Fabric::with_faults(1, 1, None, Some(clean));
         let h = computes[0].expose(vec![5u8; 16].into(), 0).unwrap();
         assert!(stagings[0].rdma_get(&req(0, h, 16)).is_ok());
-    }
-
-    #[test]
-    fn batched_pull_is_one_transaction_with_per_slot_errors() {
-        let (fabric, computes, stagings) = Fabric::new(1, 1, None);
-        let h1 = computes[0].expose(vec![1u8; 16].into(), 3).unwrap();
-        let h2 = computes[0].expose(vec![2u8; 32].into(), 3).unwrap();
-        let stale = MemHandle::test_only(999);
-        let before = obs::global()
-            .counter("transport.pulls_coalesced", &[])
-            .get();
-
-        let reqs = [req(0, h1, 16), req(0, stale, 0), req(0, h2, 32)];
-        let out = stagings[0].rdma_get_batch(&reqs);
-        assert_eq!(out.len(), 3);
-        assert_eq!(&out[0].as_ref().unwrap()[..], &[1u8; 16]);
-        assert_eq!(out[1], Err(TransportError::StaleHandle(stale)));
-        assert_eq!(&out[2].as_ref().unwrap()[..], &[2u8; 32]);
-
-        // One fabric transaction moved all the bytes; two requests were
-        // saved relative to individual pulls (the stale slot still rode
-        // along in the same registry visit).
-        assert_eq!(fabric.stats().rdma_gets(), 1);
-        assert_eq!(fabric.stats().bytes_pulled(), 48);
-        assert_eq!(fabric.pinned_bytes(), 0);
-        assert_eq!(
-            obs::global()
-                .counter("transport.pulls_coalesced", &[])
-                .get()
-                - before,
-            2
-        );
-
-        // Both successful slots posted completions; the stale one did not.
-        let a = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
-        let b = computes[0].wait_completion(Duration::from_secs(1)).unwrap();
-        assert_eq!([a.handle, b.handle], [h1, h2]);
-        assert!(computes[0]
-            .wait_completion(Duration::from_millis(10))
-            .is_err());
-        assert!(stagings[0].rdma_get_batch(&[]).is_empty());
     }
 
     #[test]

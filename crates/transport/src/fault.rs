@@ -400,19 +400,6 @@ impl FaultPlan {
         None
     }
 
-    /// Whether the plan can fault *pulls* of `step` at all: some pull
-    /// probability is non-zero and `step` is inside the plan's window.
-    /// The staging puller consults this to bypass pull coalescing only
-    /// for steps a fault could actually hit, so unaffected steps keep
-    /// batching (injection bookkeeping stays exactly per-pull wherever
-    /// it matters).
-    pub fn covers_pulls(&self, step: u64) -> bool {
-        if self.drop_p <= 0.0 && self.stale_p <= 0.0 && self.delay_p <= 0.0 {
-            return false;
-        }
-        self.steps.as_ref().is_none_or(|r| r.contains(&step))
-    }
-
     /// Consult the plan before one `expose` of `requested` bytes by
     /// compute rank `rank` at `step`.
     pub fn inject_expose(&self, rank: u64, step: u64, requested: usize) -> Option<TransportError> {
@@ -539,20 +526,6 @@ mod tests {
                 || plan.selects(FaultKind::Drop, i, 0) != plan.selects(FaultKind::Collective, i, 0)
         });
         assert!(diverges, "independent salts give independent schedules");
-    }
-
-    #[test]
-    fn covers_pulls_tracks_probabilities_and_window() {
-        let plan = FaultPlan::new(0).drop_chunks(1.0).steps(2..4);
-        assert!(!plan.covers_pulls(1));
-        assert!(plan.covers_pulls(2));
-        assert!(plan.covers_pulls(3));
-        assert!(!plan.covers_pulls(4));
-        let unwindowed = FaultPlan::new(0).stale_handles(0.5);
-        assert!(unwindowed.covers_pulls(0));
-        // A pin- or put-only plan never faults pulls.
-        let pin_only = FaultPlan::new(0).pin_exhaustion(1.0);
-        assert!(!pin_only.covers_pulls(0));
     }
 
     #[test]

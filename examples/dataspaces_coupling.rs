@@ -1,7 +1,8 @@
 //! Model-to-model coupling through DataSpaces (paper §IV-D, Fig. 6):
 //! a producer indexes GTC particle data into the shared space while a
-//! consumer application queries sub-regions, aggregates, and receives
-//! continuous-query notifications — the put()/get() coupling pattern.
+//! consumer application queries sub-regions, aggregates, and receives a
+//! continuous-query update on every commit — the put()/get() coupling
+//! pattern.
 //!
 //! ```text
 //! cargo run --release --example dataspaces_coupling
@@ -13,7 +14,9 @@ use std::time::{Duration, Instant};
 use predata::apps::GtcWorld;
 use predata::bpio::DataArray;
 use predata::core::schema::{COL_ID, COL_RANK, PARTICLE_WIDTH};
-use predata::dataspaces::{DataSpaces, DsConfig, Reduction, Region};
+use predata::dataspaces::{
+    DataSpaces, DsConfig, QueryService, QueryServiceConfig, Reduction, Region,
+};
 
 fn main() {
     let n_ranks = 8u64;
@@ -34,31 +37,35 @@ fn main() {
         ds.config().n_shards
     );
 
-    // A monitoring consumer registers a continuous query before any data.
+    // A monitoring consumer registers a continuous query before any data:
+    // every commit re-evaluates the mean over rank 0's column.
+    let svc = QueryService::new(Arc::clone(&ds), QueryServiceConfig::default());
     let watch = Region::new(vec![0, 0], vec![ids_per_rank, 1]);
-    let notify = ds.subscribe("v_par", watch);
+    let monitor = svc.subscribe_reduce("v_par", watch, Reduction::Avg, 4);
 
     // Querying application: 4 consumer threads, 11 consecutive queries
     // each over disjoint regions (the Fig. 9 workload pattern).
+    const CONSUMERS: u64 = 4;
+    const QUERIES: u32 = 11;
     let mut consumers = Vec::new();
-    for q in 0..4u64 {
+    for q in 0..CONSUMERS {
         let ds = Arc::clone(&ds);
         let ids = ids_per_rank;
         consumers.push(std::thread::spawn(move || {
-            let region = Region::new(vec![q * ids / 4, 0], vec![ids / 4, n_ranks]);
+            let region = Region::new(vec![q * ids / CONSUMERS, 0], vec![ids / CONSUMERS, n_ranks]);
             let t_setup = Instant::now();
             let first = ds
                 .get("v_par", 0, &region, Duration::from_secs(30))
                 .unwrap();
             let setup = t_setup.elapsed();
             let t_q = Instant::now();
-            for _ in 0..10 {
+            for _ in 1..QUERIES {
                 let again = ds
                     .get("v_par", 0, &region, Duration::from_secs(30))
                     .unwrap();
                 assert_eq!(again.len(), first.len());
             }
-            let per_query = t_q.elapsed() / 10;
+            let per_query = t_q.elapsed() / (QUERIES - 1);
             (q, setup, per_query, first.len())
         }));
     }
@@ -103,11 +110,17 @@ fn main() {
         println!("reduction {how:?} over first {} ranks: {v:.4}", n_ranks / 2);
     }
 
-    let notifications = std::iter::from_fn(|| notify.try_recv().ok()).count();
+    let update = monitor
+        .recv(Duration::from_secs(10))
+        .expect("the commit delivers a continuous-query update");
+    svc.shutdown();
+    assert_eq!(update.version, 0);
+    assert!(monitor.try_recv().is_none(), "one update per commit");
     println!(
-        "continuous query on rank-0 column received {notifications} notifications \
-         ({} puts / {} gets total through the space)",
-        ds.stats().puts.load(std::sync::atomic::Ordering::Relaxed),
-        ds.stats().gets.load(std::sync::atomic::Ordering::Relaxed)
+        "continuous query on rank-0 column: version {} mean {:.4} \
+         ({n_put} puts / {} gets total through the space)",
+        update.version,
+        update.value,
+        CONSUMERS * QUERIES as u64
     );
 }

@@ -2,7 +2,7 @@
 //! the staging side indexes GTC's sorted particles into the shared space;
 //! a concurrently-running "querying application" retrieves disjoint
 //! sub-regions, issues reduction queries, and receives continuous-query
-//! notifications — all without blocking the producer.
+//! updates on every commit — all without blocking the producer.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,7 +10,10 @@ use std::time::Duration;
 use predata::apps::GtcWorld;
 use predata::bpio::DataArray;
 use predata::core::schema::{COL_ID, COL_RANK, PARTICLE_WIDTH};
-use predata::dataspaces::{DataSpaces, DsConfig, Reduction, Region};
+use predata::dataspaces::{
+    ContinuousUpdate, DataSpaces, DsConfig, DsError, QueryService, QueryServiceConfig, Reduction,
+    Region,
+};
 
 /// Index particles into the (local id, rank) domain the paper uses:
 /// cell (id, rank) holds the particle's weight attribute.
@@ -57,9 +60,11 @@ fn coupled_querying_application() {
         4,
     )));
 
-    // Continuous query registered *before* data arrives.
+    // Continuous query registered *before* data arrives: every commit
+    // of "weight" re-counts the watched cells.
+    let svc = QueryService::new(Arc::clone(&ds), QueryServiceConfig::default());
     let watch_region = Region::new(vec![0, 0], vec![8, 1]);
-    let notifications = ds.subscribe("weight", watch_region.clone());
+    let updates = svc.subscribe_reduce("weight", watch_region, Reduction::Count, 4);
 
     // Querying application on 4 "cores", each polling a disjoint
     // (id-range, rank) sub-region — the paper's disjoint-region pattern.
@@ -127,15 +132,18 @@ fn coupled_querying_application() {
         .unwrap();
     assert!((0.5..=1.5).contains(&mx));
 
-    // The continuous query fired for puts intersecting its region.
-    let mut hits = 0;
-    while notifications.try_recv().is_ok() {
-        hits += 1;
-    }
+    // The continuous query fired once, for the one commit, and saw all
+    // 8 particles put into ids 0..8 of rank 0.
     assert_eq!(
-        hits, 8,
-        "one notification per particle put into ids 0..8 of rank 0"
+        updates.recv(Duration::from_secs(10)),
+        Some(ContinuousUpdate {
+            var: "weight".into(),
+            version: 0,
+            value: 8.0,
+        })
     );
+    svc.shutdown();
+    assert_eq!(updates.try_recv(), None, "exactly one update per commit");
 
     // Load balance across shards (two-level balancing, level 1).
     let counts = ds.shard_block_counts();
@@ -162,6 +170,12 @@ fn second_step_reuses_space_and_evicts_old() {
 
     let dropped = ds.evict_before("weight", 1);
     assert!(dropped > 0);
-    assert!(ds.get_nowait("weight", 0, &whole).is_err());
-    assert!(ds.get_nowait("weight", 1, &whole).is_ok());
+    assert!(matches!(
+        ds.session_now("weight", 0),
+        Err(DsError::NotCommitted { .. })
+    ));
+    assert_eq!(
+        ds.session_now("weight", 1).unwrap().get(&whole).unwrap(),
+        v1
+    );
 }
