@@ -2,7 +2,8 @@
 //!
 //! All arrays are row-major (C order): the last dimension is contiguous.
 //! These helpers are shared by the writer (chunk encode), reader (global
-//! assembly), and the PreDatA re-organization operator (chunk merging).
+//! assembly), the PreDatA re-organization operator (chunk merging) and
+//! DataSpaces puts; every box walk among them is a [`BoxRuns`] walk.
 
 use crate::dtype::Dtype;
 use crate::error::{BpError, Result};
@@ -128,42 +129,35 @@ impl DataArray {
 
     /// Decode from little-endian payload bytes.
     pub fn from_le_bytes(dtype: Dtype, bytes: &[u8]) -> Result<DataArray> {
-        if !bytes.len().is_multiple_of(dtype.size()) {
+        let mut out = DataArray::zeros(dtype, bytes.len() / dtype.size());
+        out.decode_le_at(0, bytes)?;
+        Ok(out)
+    }
+
+    /// Decode little-endian `bytes` into the elements starting at `at`.
+    /// Panics if they do not fit.
+    pub(crate) fn decode_le_at(&mut self, at: usize, bytes: &[u8]) -> Result<()> {
+        if !bytes.len().is_multiple_of(self.dtype().size()) {
             return Err(BpError::Corrupt("payload not a multiple of element size"));
         }
-        let n = bytes.len() / dtype.size();
-        Ok(match dtype {
-            Dtype::F32 => DataArray::F32(
-                (0..n)
-                    .map(|i| f32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::F64 => DataArray::F64(
-                (0..n)
-                    .map(|i| f64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::I32 => DataArray::I32(
-                (0..n)
-                    .map(|i| i32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::I64 => DataArray::I64(
-                (0..n)
-                    .map(|i| i64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::U32 => DataArray::U32(
-                (0..n)
-                    .map(|i| u32::from_le_bytes(bytes[i * 4..i * 4 + 4].try_into().unwrap()))
-                    .collect(),
-            ),
-            Dtype::U64 => DataArray::U64(
-                (0..n)
-                    .map(|i| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
-                    .collect(),
-            ),
-        })
+        macro_rules! dec {
+            ($v:expr, $t:ty) => {{
+                const SIZE: usize = std::mem::size_of::<$t>();
+                let n = bytes.len() / SIZE;
+                for (x, b) in $v[at..at + n].iter_mut().zip(bytes.chunks_exact(SIZE)) {
+                    *x = <$t>::from_le_bytes(b.try_into().expect("chunks_exact gives SIZE bytes"));
+                }
+            }};
+        }
+        match self {
+            DataArray::F32(v) => dec!(v, f32),
+            DataArray::F64(v) => dec!(v, f64),
+            DataArray::I32(v) => dec!(v, i32),
+            DataArray::I64(v) => dec!(v, i64),
+            DataArray::U32(v) => dec!(v, u32),
+            DataArray::U64(v) => dec!(v, u64),
+        }
+        Ok(())
     }
 
     /// (min, max) of the elements, widened to f64 — the per-chunk
@@ -226,10 +220,121 @@ pub fn box_to_linear(coord: &[u64], extents: &[u64]) -> u64 {
     idx
 }
 
+/// One contiguous run of a box walk: `len` elements that start at
+/// element `a` of the first container and at element `b` of the second.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    pub a: usize,
+    pub b: usize,
+    pub len: usize,
+}
+
+/// The contiguous runs of a box inside two row-major containers, in
+/// row-major order: the one kernel behind every box copy, box read and
+/// DataSpaces fill-mask update.
+///
+/// A run always spans the box's last dimension. Each trailing dimension
+/// that the box spans fully in *both* containers folds the dimension
+/// before it into the run too, so a box of whole rows is a single run,
+/// and a box equal to both containers is one run of its whole volume. A
+/// box with a zero extent has no runs. The walk allocates once, for its
+/// odometer over the unfolded outer dimensions, never per run.
+#[derive(Debug)]
+pub struct BoxRuns {
+    /// Unfolded outer dimensions, innermost first.
+    outer: Vec<Outer>,
+    next: Option<Run>,
+}
+
+#[derive(Debug)]
+struct Outer {
+    extent: usize,
+    pos: usize,
+    a_stride: usize,
+    b_stride: usize,
+}
+
+impl BoxRuns {
+    /// Runs of the box `[corner, corner + extent)` inside the containers
+    /// `[a_corner, a_corner + a_extent)` and `[b_corner, b_corner +
+    /// b_extent)`, all given in one coordinate frame. The box must lie
+    /// inside both containers.
+    pub fn new(
+        corner: &[u64],
+        extent: &[u64],
+        a_corner: &[u64],
+        a_extent: &[u64],
+        b_corner: &[u64],
+        b_extent: &[u64],
+    ) -> Result<BoxRuns> {
+        let ndim = extent.len();
+        if [corner, a_corner, a_extent, b_corner, b_extent]
+            .iter()
+            .any(|s| s.len() != ndim)
+        {
+            return Err(BpError::Corrupt("box rank mismatch"));
+        }
+        let inside = |c: &[u64], e: &[u64]| {
+            (0..ndim).all(|d| c[d] <= corner[d] && corner[d] + extent[d] <= c[d] + e[d])
+        };
+        if !inside(a_corner, a_extent) || !inside(b_corner, b_extent) {
+            return Err(BpError::OutOfBounds { var: String::new() });
+        }
+        // Dimensions k.. form one run: fold while the box spans dim k
+        // whole in both containers.
+        let mut k = ndim.saturating_sub(1);
+        while k > 0 && extent[k] == a_extent[k] && extent[k] == b_extent[k] {
+            k -= 1;
+        }
+        let mut outer = Vec::with_capacity(k);
+        let (mut a, mut b, mut a_stride, mut b_stride) = (0, 0, 1, 1);
+        for d in (0..ndim).rev() {
+            a += (corner[d] - a_corner[d]) as usize * a_stride;
+            b += (corner[d] - b_corner[d]) as usize * b_stride;
+            if d < k {
+                outer.push(Outer {
+                    extent: extent[d] as usize,
+                    pos: 0,
+                    a_stride,
+                    b_stride,
+                });
+            }
+            a_stride *= a_extent[d] as usize;
+            b_stride *= b_extent[d] as usize;
+        }
+        let len = linear_len(&extent[k..]) as usize;
+        let next = (!extent.contains(&0)).then_some(Run { a, b, len });
+        Ok(BoxRuns { outer, next })
+    }
+}
+
+impl Iterator for BoxRuns {
+    type Item = Run;
+
+    fn next(&mut self) -> Option<Run> {
+        let run = self.next?;
+        let mut next = run;
+        for o in &mut self.outer {
+            o.pos += 1;
+            next.a += o.a_stride;
+            next.b += o.b_stride;
+            if o.pos < o.extent {
+                self.next = Some(next);
+                return Some(run);
+            }
+            o.pos = 0;
+            next.a -= o.extent * o.a_stride;
+            next.b -= o.extent * o.b_stride;
+        }
+        self.next = None;
+        Some(run)
+    }
+}
+
 /// Copy a row-major chunk (`src`, occupying the box at `offset` with
 /// `extents`) into the right places of a row-major global buffer
-/// (`dst`, with `global` extents). Copies are done per contiguous
-/// last-dimension run, the same access pattern a real reorganizer uses.
+/// (`dst`, with `global` extents), one contiguous [`BoxRuns`] run at a
+/// time — the access pattern a real reorganizer uses.
 ///
 /// Returns the number of contiguous runs copied (1 when the chunk spans
 /// whole rows of the global array — the merged-layout fast path).
@@ -240,77 +345,16 @@ pub fn copy_box(
     extents: &[u64],
     global: &[u64],
 ) -> Result<u64> {
-    let ndim = global.len();
-    if offset.len() != ndim || extents.len() != ndim {
-        return Err(BpError::Corrupt("dimension rank mismatch in copy_box"));
-    }
-    for d in 0..ndim {
-        if offset[d] + extents[d] > global[d] {
-            return Err(BpError::OutOfBounds { var: String::new() });
-        }
-    }
-    let n_src = linear_len(extents);
-    if src.len() as u64 != n_src || dst.len() as u64 != linear_len(global) {
-        return Err(BpError::Corrupt("buffer length mismatch in copy_box"));
-    }
-    if n_src == 0 {
-        return Ok(0);
-    }
-
-    // Degenerate 0-d / full-cover fast path.
-    let row = extents[ndim - 1] as usize; // contiguous run length
-    let n_rows = (n_src / extents[ndim - 1]).max(1);
-
-    macro_rules! do_copy {
-        ($s:expr, $d:expr) => {{
-            let mut runs = 0u64;
-            let mut coord = vec![0u64; ndim - 1]; // iterate all but last dim
-            for r in 0..n_rows {
-                // Global coordinate of this run's first element.
-                let mut gcoord = Vec::with_capacity(ndim);
-                for d in 0..ndim - 1 {
-                    gcoord.push(offset[d] + coord[d]);
-                }
-                gcoord.push(offset[ndim - 1]);
-                let dst_start = box_to_linear(&gcoord, global) as usize;
-                let src_start = r as usize * row;
-                $d[dst_start..dst_start + row].copy_from_slice(&$s[src_start..src_start + row]);
-                runs += 1;
-                // Odometer increment over extents[0..ndim-1].
-                for d in (0..ndim - 1).rev() {
-                    coord[d] += 1;
-                    if coord[d] < extents[d] {
-                        break;
-                    }
-                    coord[d] = 0;
-                }
-            }
-            runs
-        }};
-    }
-
-    let runs = match (src, dst) {
-        (DataArray::F32(s), DataArray::F32(d)) => do_copy!(s, d),
-        (DataArray::F64(s), DataArray::F64(d)) => do_copy!(s, d),
-        (DataArray::I32(s), DataArray::I32(d)) => do_copy!(s, d),
-        (DataArray::I64(s), DataArray::I64(d)) => do_copy!(s, d),
-        (DataArray::U32(s), DataArray::U32(d)) => do_copy!(s, d),
-        (DataArray::U64(s), DataArray::U64(d)) => do_copy!(s, d),
-        (s, d) => {
-            return Err(BpError::DtypeMismatch {
-                var: String::new(),
-                expected: d.dtype().name(),
-                got: s.dtype().name(),
-            })
-        }
-    };
-    Ok(runs)
+    let origin = vec![0; global.len()];
+    copy_box_between(src, offset, extents, dst, &origin, global, offset, extents)
 }
 
 /// Copy the box `isect` (given in global coordinates) from a row-major
 /// `src` buffer occupying box (`src_corner`, `src_extent`) into a
 /// row-major `dst` buffer occupying (`dst_corner`, `dst_extent`).
-/// `isect` must lie within both boxes. Returns contiguous runs copied.
+/// `isect` must lie within both boxes, and each buffer must hold its
+/// box exactly. Returns the number of contiguous [`BoxRuns`] runs
+/// copied.
 #[allow(clippy::too_many_arguments)]
 pub fn copy_box_between(
     src: &DataArray,
@@ -322,76 +366,34 @@ pub fn copy_box_between(
     isect_corner: &[u64],
     isect_extent: &[u64],
 ) -> Result<u64> {
-    let ndim = isect_corner.len();
-    if [
-        src_corner.len(),
-        src_extent.len(),
-        dst_corner.len(),
-        dst_extent.len(),
-        isect_extent.len(),
-    ]
-    .iter()
-    .any(|&l| l != ndim)
-    {
-        return Err(BpError::Corrupt("rank mismatch in copy_box_between"));
+    let runs = BoxRuns::new(
+        isect_corner,
+        isect_extent,
+        src_corner,
+        src_extent,
+        dst_corner,
+        dst_extent,
+    )?;
+    if src.len() as u64 != linear_len(src_extent) || dst.len() as u64 != linear_len(dst_extent) {
+        return Err(BpError::Corrupt("buffer length mismatch in box copy"));
     }
-    for d in 0..ndim {
-        let lo = isect_corner[d];
-        let hi = lo + isect_extent[d];
-        if lo < src_corner[d]
-            || hi > src_corner[d] + src_extent[d]
-            || lo < dst_corner[d]
-            || hi > dst_corner[d] + dst_extent[d]
-        {
-            return Err(BpError::OutOfBounds { var: String::new() });
-        }
-    }
-    let n = linear_len(isect_extent);
-    if n == 0 {
-        return Ok(0);
-    }
-    let row = isect_extent[ndim - 1] as usize;
-    let n_rows = (n / isect_extent[ndim - 1]).max(1);
-
     macro_rules! go {
         ($s:expr, $d:expr) => {{
-            let mut runs = 0u64;
-            let mut coord = vec![0u64; ndim - 1];
-            for _ in 0..n_rows {
-                let gcoord: Vec<u64> = (0..ndim)
-                    .map(|d| {
-                        if d < ndim - 1 {
-                            isect_corner[d] + coord[d]
-                        } else {
-                            isect_corner[d]
-                        }
-                    })
-                    .collect();
-                let s_idx: Vec<u64> = (0..ndim).map(|d| gcoord[d] - src_corner[d]).collect();
-                let d_idx: Vec<u64> = (0..ndim).map(|d| gcoord[d] - dst_corner[d]).collect();
-                let s0 = box_to_linear(&s_idx, src_extent) as usize;
-                let d0 = box_to_linear(&d_idx, dst_extent) as usize;
-                $d[d0..d0 + row].copy_from_slice(&$s[s0..s0 + row]);
-                runs += 1;
-                for d in (0..ndim - 1).rev() {
-                    coord[d] += 1;
-                    if coord[d] < isect_extent[d] {
-                        break;
-                    }
-                    coord[d] = 0;
-                }
+            let mut n = 0;
+            for r in runs {
+                $d[r.b..r.b + r.len].copy_from_slice(&$s[r.a..r.a + r.len]);
+                n += 1;
             }
-            runs
+            Ok(n)
         }};
     }
-
     match (src, dst) {
-        (DataArray::F32(s), DataArray::F32(d)) => Ok(go!(s, d)),
-        (DataArray::F64(s), DataArray::F64(d)) => Ok(go!(s, d)),
-        (DataArray::I32(s), DataArray::I32(d)) => Ok(go!(s, d)),
-        (DataArray::I64(s), DataArray::I64(d)) => Ok(go!(s, d)),
-        (DataArray::U32(s), DataArray::U32(d)) => Ok(go!(s, d)),
-        (DataArray::U64(s), DataArray::U64(d)) => Ok(go!(s, d)),
+        (DataArray::F32(s), DataArray::F32(d)) => go!(s, d),
+        (DataArray::F64(s), DataArray::F64(d)) => go!(s, d),
+        (DataArray::I32(s), DataArray::I32(d)) => go!(s, d),
+        (DataArray::I64(s), DataArray::I64(d)) => go!(s, d),
+        (DataArray::U32(s), DataArray::U32(d)) => go!(s, d),
+        (DataArray::U64(s), DataArray::U64(d)) => go!(s, d),
         (s, d) => Err(BpError::DtypeMismatch {
             var: String::new(),
             expected: d.dtype().name(),
@@ -482,12 +484,12 @@ mod tests {
     }
 
     #[test]
-    fn copy_box_full_width_is_single_runs_per_row() {
-        // A chunk spanning entire rows: run length = global row.
+    fn copy_box_full_width_is_one_run() {
+        // A chunk spanning entire rows folds into one run of both rows.
         let chunk = DataArray::U64((0..8).collect());
         let mut global = DataArray::zeros(Dtype::U64, 16);
         let runs = copy_box(&chunk, &mut global, &[2, 0], &[2, 4], &[4, 4]).unwrap();
-        assert_eq!(runs, 2);
+        assert_eq!(runs, 1);
         let DataArray::U64(g) = global else {
             unreachable!()
         };
@@ -566,6 +568,55 @@ mod tests {
             &[2, 2], // exceeds both boxes
         )
         .is_err());
+    }
+
+    #[test]
+    fn copy_box_between_length_checked() {
+        // Each buffer must hold its box exactly: a short one is an error,
+        // not a slice-index panic.
+        let short = DataArray::U64(vec![0; 3]);
+        let mut dst = DataArray::zeros(Dtype::U64, 4);
+        let b = [0, 0];
+        let e = [2, 2];
+        assert!(matches!(
+            copy_box_between(&short, &b, &e, &mut dst, &b, &e, &b, &e),
+            Err(BpError::Corrupt(_))
+        ));
+        let src = DataArray::U64(vec![0; 4]);
+        let mut long = DataArray::zeros(Dtype::U64, 5);
+        assert!(matches!(
+            copy_box_between(&src, &b, &e, &mut long, &b, &e, &b, &e),
+            Err(BpError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn box_runs_fold_whole_dimensions() {
+        let runs = |c: &[u64], e: &[u64], ae: &[u64], be: &[u64]| {
+            let zero = vec![0; e.len()];
+            BoxRuns::new(c, e, &zero, ae, &zero, be)
+                .unwrap()
+                .map(|r| (r.a, r.b, r.len))
+                .collect::<Vec<_>>()
+        };
+        // Equal to both containers: one run of the whole volume.
+        assert_eq!(
+            runs(&[0, 0, 0], &[2, 3, 4], &[2, 3, 4], &[2, 3, 4]),
+            [(0, 0, 24)]
+        );
+        // Whole rows of both: the two trailing dims fold.
+        assert_eq!(
+            runs(&[1, 0, 0], &[1, 3, 4], &[2, 3, 4], &[4, 3, 4]),
+            [(12, 12, 12)]
+        );
+        // A partial row in one container stops the fold at the last dim.
+        assert_eq!(
+            runs(&[0, 1], &[2, 2], &[2, 4], &[2, 3]),
+            [(1, 1, 2), (5, 4, 2)]
+        );
+        // Zero extent: no runs. Rank 0: one element.
+        assert!(runs(&[0, 0], &[2, 0], &[2, 4], &[2, 4]).is_empty());
+        assert_eq!(runs(&[], &[], &[], &[]), [(0, 0, 1)]);
     }
 
     #[test]

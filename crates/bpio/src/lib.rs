@@ -23,6 +23,13 @@
 //! * [`BpReader`] — footer-driven reads: whole global arrays or
 //!   sub-boxes, with [`ReadStats`] instrumentation (seeks, bytes,
 //!   contiguous runs) that the Fig. 11 experiment reports.
+//!   [`BpFileSet`] serves the same reads across one file per staging
+//!   rank.
+//! * [`BoxRuns`] — the one box-walk kernel: the contiguous runs of a box
+//!   inside two row-major containers, folding every trailing dimension
+//!   the box spans whole in both, so a box of whole rows is one run.
+//!   [`copy_box`], [`copy_box_between`], the readers, and the DataSpaces
+//!   put path all drive it.
 //!
 //! The format is BP-*like* (self-contained and documented here), not
 //! bit-compatible with ADIOS BP files.
@@ -66,7 +73,7 @@ mod reader;
 mod util;
 mod writer;
 
-pub use array::{box_to_linear, copy_box, copy_box_between, linear_len, DataArray};
+pub use array::{box_to_linear, copy_box, copy_box_between, linear_len, BoxRuns, DataArray, Run};
 pub use dtype::Dtype;
 pub use error::{BpError, Result};
 pub use fileset::BpFileSet;

@@ -1,7 +1,8 @@
 //! Footer-driven reads with I/O-plan instrumentation.
 //!
 //! The reader materializes a read *plan* — the minimal set of contiguous
-//! byte ranges needed — executes it, and scatters bytes into the result.
+//! byte ranges needed — executes it, and decodes each range straight
+//! into the result.
 //! [`ReadStats`] reports the plan's cost (read ops, seeks, bytes): the
 //! quantity Fig. 11 of the paper compares between merged and unmerged
 //! layouts. On a merged file a whole-array read collapses to one large
@@ -12,7 +13,7 @@ use std::fs::File;
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 
-use crate::array::{box_to_linear, linear_len, DataArray};
+use crate::array::{linear_len, BoxRuns, DataArray};
 use crate::error::{BpError, Result};
 use crate::index::{FileIndex, VarEntry};
 use crate::FILE_MAGIC;
@@ -128,124 +129,117 @@ impl BpReader {
         corner: &[u64],
         extent: &[u64],
     ) -> Result<DataArray> {
-        let global = self.global_extents(var, step)?;
-        let ndim = global.len();
-        if corner.len() != ndim || extent.len() != ndim {
-            return Err(BpError::Corrupt("box rank mismatch"));
-        }
-        for d in 0..ndim {
-            if corner[d] + extent[d] > global[d] {
-                return Err(BpError::OutOfBounds {
+        let first = self.global_chunk(var, step)?;
+        check_box(var, &first.global, corner, extent)?;
+        let mut out = DataArray::zeros(first.dtype, linear_len(extent) as usize);
+        let covered = self.read_box_into(var, step, corner, extent, &mut out)?;
+        check_tiled(var, step, covered, extent)?;
+        Ok(out)
+    }
+
+    /// Read every element of the box `[out_corner, out_corner +
+    /// out_extent)` that this file's chunks of `var` at `step` hold into
+    /// `out` (row-major over that box), and return how many that was.
+    ///
+    /// The plan has one entry per [`BoxRuns`] run of each chunk's
+    /// intersection with the box. File-adjacent runs are coalesced into
+    /// one read op, and each run is decoded straight into `out`.
+    pub(crate) fn read_box_into(
+        &mut self,
+        var: &str,
+        step: u64,
+        out_corner: &[u64],
+        out_extent: &[u64],
+        out: &mut DataArray,
+    ) -> Result<u64> {
+        let ndim = out_extent.len();
+        // The run plan: (file_offset, byte_len, dst_element_index).
+        let mut plan: Vec<(u64, u64, usize)> = Vec::new();
+        let mut covered = 0;
+        let (mut lo, mut ext) = (Vec::with_capacity(ndim), Vec::with_capacity(ndim));
+        for c in self
+            .index
+            .vars
+            .iter()
+            .filter(|v| v.name == var && v.step == step)
+        {
+            if c.dtype != out.dtype() {
+                return Err(BpError::DtypeMismatch {
                     var: var.to_string(),
+                    expected: out.dtype().name(),
+                    got: c.dtype.name(),
                 });
             }
-        }
-        let chunks: Vec<VarEntry> = self
-            .index
-            .chunks_of(var, step)
-            .into_iter()
-            .cloned()
-            .collect();
-        let dtype = chunks[0].dtype;
-        let esize = dtype.size() as u64;
-        let out_len = linear_len(extent) as usize;
-        let mut out = DataArray::zeros(dtype, out_len);
-
-        // Build the run plan: (file_offset, byte_len, dst_element_index).
-        let mut runs: Vec<(u64, u64, usize)> = Vec::new();
-        let mut covered: u64 = 0;
-        for c in &chunks {
-            // Intersection of the request with this chunk, in global coords.
-            let mut lo = vec![0u64; ndim];
-            let mut hi = vec![0u64; ndim];
-            let mut empty = false;
-            for d in 0..ndim {
-                lo[d] = corner[d].max(c.offset_in_global[d]);
-                hi[d] = (corner[d] + extent[d]).min(c.offset_in_global[d] + c.local[d]);
-                if lo[d] >= hi[d] {
-                    empty = true;
-                    break;
-                }
+            if c.local.len() != ndim || c.offset_in_global.len() != ndim {
+                return Err(BpError::Corrupt("chunk rank mismatch"));
             }
-            if empty {
+            // Intersection of the request with this chunk, in global coords.
+            lo.clear();
+            ext.clear();
+            for d in 0..ndim {
+                let l = out_corner[d].max(c.offset_in_global[d]);
+                let h = (out_corner[d] + out_extent[d]).min(c.offset_in_global[d] + c.local[d]);
+                lo.push(l);
+                ext.push(h.saturating_sub(l));
+            }
+            if ext.contains(&0) {
                 continue;
             }
-            let isect: Vec<u64> = (0..ndim).map(|d| hi[d] - lo[d]).collect();
-            covered += linear_len(&isect);
-
-            // Iterate rows of the intersection (all dims but the last).
-            let row = isect[ndim - 1];
-            let n_rows: u64 = isect[..ndim - 1].iter().product::<u64>().max(1);
-            let mut coord = vec![0u64; ndim.saturating_sub(1)];
-            for _ in 0..n_rows {
-                // Global coordinate of this run's first element.
-                let mut g = Vec::with_capacity(ndim);
-                for d in 0..ndim - 1 {
-                    g.push(lo[d] + coord[d]);
-                }
-                g.push(lo[ndim - 1]);
-                // Position inside the chunk's row-major payload.
-                let in_chunk: Vec<u64> = (0..ndim).map(|d| g[d] - c.offset_in_global[d]).collect();
-                let src_elem = box_to_linear(&in_chunk, &c.local);
-                // Position inside the output box.
-                let in_out: Vec<u64> = (0..ndim).map(|d| g[d] - corner[d]).collect();
-                let dst_elem = box_to_linear(&in_out, extent) as usize;
-                runs.push((c.file_offset + src_elem * esize, row * esize, dst_elem));
-                for d in (0..ndim - 1).rev() {
-                    coord[d] += 1;
-                    if coord[d] < isect[d] {
-                        break;
-                    }
-                    coord[d] = 0;
-                }
-            }
-        }
-
-        if covered != linear_len(extent) {
-            return Err(BpError::IncompleteTiling {
-                var: var.to_string(),
-                step,
-                covered,
-                expected: linear_len(extent),
-            });
+            covered += linear_len(&ext);
+            let esize = c.dtype.size() as u64;
+            let runs = BoxRuns::new(
+                &lo,
+                &ext,
+                &c.offset_in_global,
+                &c.local,
+                out_corner,
+                out_extent,
+            )?;
+            plan.extend(runs.map(|r| {
+                (
+                    c.file_offset + r.a as u64 * esize,
+                    r.len as u64 * esize,
+                    r.b,
+                )
+            }));
         }
 
         // Coalesce file-adjacent runs into single read ops, then execute.
-        runs.sort_unstable_by_key(|r| r.0);
-        let mut i = 0;
-        while i < runs.len() {
-            let start = runs[i].0;
-            let mut end = runs[i].0 + runs[i].1;
-            let mut j = i + 1;
-            while j < runs.len() && runs[j].0 == end {
-                end += runs[j].1;
-                j += 1;
+        plan.sort_unstable_by_key(|r| r.0);
+        for group in plan.chunk_by(|x, y| x.0 + x.1 == y.0) {
+            let start = group[0].0;
+            let (last, last_len, _) = group[group.len() - 1];
+            let buf = self.read_range(start, last + last_len - start)?;
+            for &(off, len, at) in group {
+                let off = (off - start) as usize;
+                out.decode_le_at(at, &buf[off..off + len as usize])?;
             }
-            let buf = self.read_range(start, end - start)?;
-            // Scatter each original run from the coalesced buffer.
-            for r in &runs[i..j] {
-                let off = (r.0 - start) as usize;
-                let chunk = DataArray::from_le_bytes(dtype, &buf[off..off + r.1 as usize])?;
-                scatter(&chunk, &mut out, r.2);
-            }
-            i = j;
         }
-        Ok(out)
+        Ok(covered)
     }
 
     /// Global extents of `var` at `step` (error if absent or not global).
     pub fn global_extents(&self, var: &str, step: u64) -> Result<Vec<u64>> {
-        let chunks = self.index.chunks_of(var, step);
-        let first = chunks.first().ok_or_else(|| BpError::NotFound {
-            var: var.to_string(),
-            step,
-        })?;
+        Ok(self.global_chunk(var, step)?.global.clone())
+    }
+
+    /// The first chunk of global array `var` at `step`.
+    pub(crate) fn global_chunk(&self, var: &str, step: u64) -> Result<&VarEntry> {
+        let first = self
+            .index
+            .vars
+            .iter()
+            .find(|v| v.name == var && v.step == step)
+            .ok_or_else(|| BpError::NotFound {
+                var: var.to_string(),
+                step,
+            })?;
         if first.global.is_empty() {
             return Err(BpError::BadDecl(format!(
                 "variable `{var}` is not a global array"
             )));
         }
-        Ok(first.global.clone())
+        Ok(first)
     }
 
     /// Prune chunks by the footer min/max characteristics: which chunks
@@ -278,22 +272,33 @@ impl BpReader {
     }
 }
 
-/// Copy all elements of `src` into `dst` starting at element `at`.
-fn scatter(src: &DataArray, dst: &mut DataArray, at: usize) {
-    macro_rules! sc {
-        ($s:expr, $d:expr) => {
-            $d[at..at + $s.len()].copy_from_slice($s)
-        };
+/// Check that the box `[corner, corner+extent)` has the rank of
+/// `global` and lies inside it.
+pub(crate) fn check_box(var: &str, global: &[u64], corner: &[u64], extent: &[u64]) -> Result<()> {
+    let ndim = global.len();
+    if corner.len() != ndim || extent.len() != ndim {
+        return Err(BpError::Corrupt("box rank mismatch"));
     }
-    match (src, dst) {
-        (DataArray::F32(s), DataArray::F32(d)) => sc!(s, d),
-        (DataArray::F64(s), DataArray::F64(d)) => sc!(s, d),
-        (DataArray::I32(s), DataArray::I32(d)) => sc!(s, d),
-        (DataArray::I64(s), DataArray::I64(d)) => sc!(s, d),
-        (DataArray::U32(s), DataArray::U32(d)) => sc!(s, d),
-        (DataArray::U64(s), DataArray::U64(d)) => sc!(s, d),
-        _ => unreachable!("dtype fixed per variable"),
+    if (0..ndim).any(|d| corner[d] + extent[d] > global[d]) {
+        return Err(BpError::OutOfBounds {
+            var: var.to_string(),
+        });
     }
+    Ok(())
+}
+
+/// Check that the chunks read covered the whole box of `extent`.
+pub(crate) fn check_tiled(var: &str, step: u64, covered: u64, extent: &[u64]) -> Result<()> {
+    let expected = linear_len(extent);
+    if covered != expected {
+        return Err(BpError::IncompleteTiling {
+            var: var.to_string(),
+            step,
+            covered,
+            expected,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -56,6 +56,7 @@ impl Block {
         }
     }
 
+    #[cfg(test)]
     pub fn mark(&mut self, local_idx: u64) {
         let w = (local_idx / 64) as usize;
         let b = 1u64 << (local_idx % 64);
@@ -68,25 +69,36 @@ impl Block {
     pub fn is_set(&self, local_idx: u64) -> bool {
         self.filled[(local_idx / 64) as usize] & (1 << (local_idx % 64)) != 0
     }
+
+    /// Mark elements `[start, start + len)` filled, a mask word at a time.
+    fn mark_range(&mut self, start: usize, len: usize) {
+        let end = start + len;
+        let mut i = start;
+        while i < end {
+            let (w, bit) = (i / 64, i % 64);
+            let n = (64 - bit).min(end - i);
+            let mask = (u64::MAX >> (64 - n)) << bit;
+            self.n_filled += (mask & !self.filled[w]).count_ones() as u64;
+            self.filled[w] |= mask;
+            i += n;
+        }
+    }
 }
 
 /// Mark every element of `isect` (global coords) filled in `block`.
 pub(crate) fn mark_region(block: &mut Block, isect: &Region) {
-    let ndim = isect.rank();
-    let mut coord = vec![0u64; ndim];
-    let n = isect.volume();
-    for _ in 0..n {
-        let local: Vec<u64> = (0..ndim)
-            .map(|d| isect.corner[d] + coord[d] - block.region.corner[d])
-            .collect();
-        block.mark(bpio::box_to_linear(&local, &block.region.extent));
-        for d in (0..ndim).rev() {
-            coord[d] += 1;
-            if coord[d] < isect.extent[d] {
-                break;
-            }
-            coord[d] = 0;
-        }
+    let r = &block.region;
+    let runs = bpio::BoxRuns::new(
+        &isect.corner,
+        &isect.extent,
+        &r.corner,
+        &r.extent,
+        &r.corner,
+        &r.extent,
+    )
+    .expect("isect lies inside its block");
+    for run in runs {
+        block.mark_range(run.a, run.len);
     }
 }
 
@@ -387,9 +399,74 @@ impl ShardIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn region(corner: u64, len: u64) -> Region {
         Region::new(vec![corner], vec![len])
+    }
+
+    /// A block region of rank 1–3 (volumes up to 210, so fills cross
+    /// mask words) and partial puts inside it, possibly overlapping.
+    fn arb_fills() -> impl Strategy<Value = (Region, Vec<Region>)> {
+        let dim = (0u64..4, 1u64..=7);
+        prop::collection::vec(dim, 1..=3).prop_flat_map(|dims| {
+            let block = Region::new(
+                dims.iter().map(|d| d.0).collect(),
+                dims.iter().map(|d| d.1).collect(),
+            );
+            let fracs = prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), dims.len());
+            let puts = prop::collection::vec(fracs, 1..=6).prop_map({
+                let block = block.clone();
+                move |puts| {
+                    puts.into_iter()
+                        .map(|f| {
+                            let (mut corner, mut extent) = (vec![], vec![]);
+                            for (d, (lo, len)) in f.into_iter().enumerate() {
+                                let e = block.extent[d];
+                                let c = (lo * e as f64) as u64;
+                                corner.push(block.corner[d] + c);
+                                extent.push(1 + (len * (e - c) as f64) as u64);
+                            }
+                            Region::new(corner, extent)
+                        })
+                        .collect()
+                }
+            });
+            (Just(block), puts)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Marking whole runs sets the same bits, and counts the same
+        /// newly filled elements, as marking one element at a time.
+        #[test]
+        fn mark_region_matches_per_element_marks(case in arb_fills()) {
+            let (region, puts) = case;
+            let mut fast = Block::new(region.clone(), Dtype::U32);
+            let mut slow = Block::new(region.clone(), Dtype::U32);
+            for put in &puts {
+                mark_region(&mut fast, put);
+                let local = Region::new(
+                    put.corner.iter().zip(&region.corner).map(|(p, b)| p - b).collect(),
+                    put.extent.clone(),
+                );
+                let mut coord = local.corner.clone();
+                for _ in 0..put.volume() {
+                    slow.mark(bpio::box_to_linear(&coord, &region.extent));
+                    for d in (0..coord.len()).rev() {
+                        coord[d] += 1;
+                        if coord[d] < local.corner[d] + local.extent[d] {
+                            break;
+                        }
+                        coord[d] = local.corner[d];
+                    }
+                }
+                prop_assert_eq!(fast.n_filled, slow.n_filled);
+            }
+            prop_assert_eq!(&fast.filled, &slow.filled);
+        }
     }
 
     #[test]

@@ -2,11 +2,16 @@
 //! budget (and ISSUE acceptance bar) is <3% overhead on the staging
 //! pipeline with metrics enabled vs disabled.
 //!
-//! Methodology: run the same multi-step staging workload several times
-//! in each mode and compare the *minimum* wall times — the minimum is
-//! the least noise-contaminated estimator on a shared machine. The
-//! assertion allows 10% so scheduler jitter on loaded CI runners can't
-//! flake the suite; the `staging_pipeline` Criterion bench is the
+//! Methodology: after a warm-up run, run the same multi-step staging
+//! workload in interleaved off/on pairs, alternating which mode runs
+//! first, and assert on the *median of the paired on/off ratios*. Each
+//! pair shares the machine's state of the moment, so drift and noise
+//! from other tenants cancel within a pair, and the median discards the
+//! pairs a scheduler hiccup spoiled. One run takes tens of ms, so one
+//! pair's ratio spreads by ±20% on a 2-core host; 25 pairs put the
+//! median's own spread well under the bound (9 pairs left it near it).
+//! The assertion allows 10% so scheduler jitter on loaded CI runners
+//! can't flake the suite; the `staging_pipeline` Criterion bench is the
 //! precision instrument for the 3% figure itself.
 //!
 //! Lives in its own integration-test binary (own process) because it
@@ -31,7 +36,8 @@ const N_COMPUTE: usize = 4;
 const N_STAGING: usize = 1;
 const N_STEPS: u64 = 3;
 const ROWS_PER_DUMP: usize = 4096; // ~256 KiB per dump → real decode/map work
-const TRIALS: usize = 5;
+/// Off/on pairs measured after the warm-up.
+const PAIRS: usize = 25;
 
 fn dump(rank: u64, step: u64) -> Vec<f64> {
     let mut s = rank.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(step) | 1;
@@ -95,8 +101,16 @@ fn run_once(dir: &std::path::Path) -> Duration {
     started.elapsed()
 }
 
-fn best_of(trials: usize, dir: &std::path::Path) -> Duration {
-    (0..trials).map(|_| run_once(dir)).min().unwrap()
+/// One off/on pair, the enabled run first if `on_first`: the on/off
+/// wall-time ratio.
+fn paired_ratio(on_first: bool, dir: &std::path::Path) -> f64 {
+    let mut secs = [0.0; 2]; // [off, on]
+    for on in [on_first, !on_first] {
+        predata::obs::set_enabled(on);
+        secs[on as usize] = run_once(dir).as_secs_f64();
+    }
+    predata::obs::set_enabled(false);
+    secs[1] / secs[0].max(1e-9)
 }
 
 #[test]
@@ -114,16 +128,14 @@ fn metrics_overhead_stays_within_budget() {
     predata::obs::set_enabled(false);
     run_once(&dir);
 
-    let off = best_of(TRIALS, &dir);
-    predata::obs::set_enabled(true);
-    let on = best_of(TRIALS, &dir);
-    predata::obs::set_enabled(false);
-
-    let ratio = on.as_secs_f64() / off.as_secs_f64().max(1e-9);
+    let mut ratios: Vec<f64> = (0..PAIRS).map(|i| paired_ratio(i % 2 == 1, &dir)).collect();
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[PAIRS / 2];
     assert!(
         ratio <= 1.10,
-        "metrics-enabled pipeline is {:.1}% slower than disabled \
-         (on={on:?} off={off:?}); budget is <3% nominal, 10% with CI slack",
+        "metrics-enabled pipeline is {:.1}% slower than disabled by the median \
+         of {PAIRS} paired on/off ratios {ratios:.3?}; budget is <3% nominal, \
+         10% with CI slack",
         (ratio - 1.0) * 100.0
     );
 
